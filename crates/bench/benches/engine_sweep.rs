@@ -1,16 +1,11 @@
 //! The parallel batch engine on the full TSVC sweep: verifies that
 //! `threads = N` produces verdicts identical to `threads = 1`, reports the
-//! wall-clock win of the worker pool, measures the verdict cache's hit-path
-//! speedup over re-verification, and quantifies the adaptive-budget win
-//! (fixed vs telemetry-tuned solver budgets; visible on a multi-core
-//! runner).
+//! wall-clock win of the worker pool (visible on a multi-core runner), and
+//! measures the verdict cache's hit-path speedup over re-verification.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lv_bench::{sweep_jobs, sweep_tv_config};
-use lv_core::{
-    AdaptiveBudgetPolicy, EngineConfig, NoopObserver, PipelineConfig, VerdictCache,
-    VerificationEngine,
-};
+use lv_core::{EngineConfig, PipelineConfig, VerdictCache, VerificationEngine};
 use lv_interp::ChecksumConfig;
 use std::sync::Arc;
 
@@ -80,33 +75,6 @@ fn bench(c: &mut Criterion) {
             assert_eq!(warm.cache_hits, jobs.len());
             warm
         })
-    });
-
-    // Adaptive-budget path: a pilot slice runs under the fixed budgets, the
-    // remainder under budgets tightened from the pilot's funnel. The verdict
-    // set may legitimately differ from the fixed-budget run (tightening can
-    // turn a slow proof into Inconclusive), which is exactly the trade-off
-    // this variant measures against `engine_sweep_threads1`.
-    let adaptive = VerificationEngine::new(
-        EngineConfig::full(sweep_pipeline())
-            .with_threads(1)
-            .with_adaptive(AdaptiveBudgetPolicy::default()),
-    );
-    let tuned_run = adaptive.run_batch_adaptive(&jobs, &NoopObserver);
-    assert_eq!(tuned_run.report.jobs.len(), jobs.len());
-    println!(
-        "adaptive: pilot {} jobs, alive2 budget {} -> {} conflicts, cunroll {} -> {}, \
-         wall {:?} (fixed-budget threads=1 wall {:?})",
-        tuned_run.pilot_jobs,
-        tuned_run.base.alive2_budget.max_conflicts,
-        tuned_run.tuned.alive2_budget.max_conflicts,
-        tuned_run.base.cunroll_budget.max_conflicts,
-        tuned_run.tuned.cunroll_budget.max_conflicts,
-        tuned_run.report.wall,
-        base.wall,
-    );
-    c.bench_function("engine_sweep_adaptive", |b| {
-        b.iter(|| adaptive.run_batch_adaptive(&jobs, &NoopObserver))
     });
 }
 

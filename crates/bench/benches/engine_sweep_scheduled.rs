@@ -1,7 +1,7 @@
 //! Profile-guided stage scheduling on the TSVC sweep: run the full batch
 //! under the default Algorithm 1 order, persist its telemetry as a
 //! `CrossRunProfile` journal, derive the per-category stage schedule from
-//! the *reloaded* journal (no pilot slice), and re-run the batch under it —
+//! the *reloaded* journal alone, and re-run the batch under it —
 //! verdicts must be bit-identical, and the wall-time gap is the win the
 //! schedule buys by not burning the Alive2 budget on kernel shapes it never
 //! concludes.

@@ -123,7 +123,6 @@ const FULL: SimplifyConfig = SimplifyConfig {
 const MEMO: EngineReuse = EngineReuse {
     memo: true,
     incremental: false,
-    portfolio: false,
     simplify: SIMPLIFY_OFF,
 };
 
@@ -136,16 +135,15 @@ struct Arm {
 /// reuse layer `lv-sweep` now defaults on, clause-identical to `raw` — the
 /// baseline the headline speedup is measured against. The simplify arms
 /// layer the two simplification passes on top of it, and `full_stack` shows
-/// the whole PR-6 + PR-10 stack for context (its incremental sessions
-/// freeze the blast variables, so preprocessing is deliberately tame
-/// there).
+/// memo + incremental + both simplification passes for context (its
+/// incremental sessions freeze the blast variables, so preprocessing is
+/// deliberately tame there).
 const ARMS: &[Arm] = &[
     Arm {
         name: "raw",
         reuse: EngineReuse {
             memo: false,
             incremental: false,
-            portfolio: false,
             simplify: SIMPLIFY_OFF,
         },
     },
@@ -179,7 +177,6 @@ const ARMS: &[Arm] = &[
         reuse: EngineReuse {
             memo: true,
             incremental: true,
-            portfolio: true,
             simplify: FULL,
         },
     },

@@ -26,24 +26,20 @@
 //! purely a wall-clock optimization over `threads = 1`, which in turn equals
 //! the one-shot [`crate::check_equivalence`].
 //!
-//! On top of the worker pool the engine is *observable*, *cached*, and
-//! optionally *self-tuning*:
+//! On top of the worker pool the engine is *observable* and *cached*:
 //!
 //! * [`VerificationEngine::run_batch_observed`] streams job/stage/verdict
 //!   events to a [`BatchObserver`] as workers make progress;
 //! * a configured [`VerdictCache`] is consulted per job *before any stage
 //!   runs*, keyed by `(scalar, candidate, config)` content hashes; hits run
-//!   zero stages and are counted in [`BatchReport::cache_hits`];
-//! * [`VerificationEngine::run_batch_adaptive`] runs a pilot slice under the
-//!   configured budgets, derives tightened per-stage [`lv_tv::SolverBudget`]s
-//!   from the pilot's [`crate::FunnelReport`], and runs the remainder under
-//!   them (opt-in via [`EngineConfig::adaptive`]; off by default so verdicts
-//!   stay bit-identical to the sequential path). With a persisted
-//!   [`crate::profile::CrossRunProfile`] the pilot slice becomes
-//!   unnecessary: [`StageSchedule::from_profile`] and
-//!   [`AdaptiveBudgetPolicy::derive_from_profile`](crate::AdaptiveBudgetPolicy::derive_from_profile)
-//!   derive the stage order and budgets for the *next* run from every
-//!   previous run's telemetry.
+//!   zero stages and are counted in [`BatchReport::cache_hits`].
+//!
+//! Each symbolic stage runs once, under one budget: the configured
+//! [`lv_tv::SolverBudget`], or — with a persisted
+//! [`crate::profile::CrossRunProfile`] — the budget
+//! [`CrossRunProfile::tuned_budgets`](crate::profile::CrossRunProfile::tuned_budgets)
+//! derives from every previous run's telemetry, alongside the stage order
+//! [`StageSchedule::from_profile`] derives.
 //!
 //! Orthogonal to all of the above, [`EngineReuse`] switches on the cross-job
 //! SMT reuse layers (all off by default):
@@ -60,12 +56,7 @@
 //!   ran out, so the concluding stage may improve — this layer therefore
 //!   perturbs [`EngineConfig::semantic_fingerprint`], while verdict classes
 //!   and checksums stay identical and reports remain bit-identical across
-//!   thread counts (the grouped pool pins each group's query sequence);
-//! * **portfolio budget racing** — every symbolic stage is wrapped in a
-//!   [`PortfolioStage`] that first races a tight budget
-//!   (`configured / `[`PORTFOLIO_TIGHT_DIVISOR`]) and escalates to the full
-//!   budget only on an inconclusive tight run. Same verdicts by
-//!   construction; escalations are counted per stage and per job.
+//!   thread counts (the grouped pool pins each group's query sequence).
 //!
 //! Per-job reuse activity lands in [`JobReport::reuse`]
 //! ([`ReuseCounters`]), aggregates via [`BatchReport::reuse_totals`], and
@@ -80,20 +71,17 @@ pub mod stage;
 
 pub use pool::{job_channel, parallel_map, JobProducer, JobSource};
 pub use schedule::{StageSchedule, SYMBOLIC_STAGES};
-pub use stage::{
-    ChecksumStage, PortfolioStage, StrategyOutcome, SymbolicStage, VerificationStrategy,
-    WorkerState, PORTFOLIO_TIGHT_DIVISOR,
-};
+pub use stage::{ChecksumStage, StrategyOutcome, SymbolicStage, VerificationStrategy, WorkerState};
 
 use crate::cache::{CacheKey, CachedVerdict, VerdictCache};
-use crate::funnel::{AdaptiveBudgetPolicy, FunnelReport};
-use crate::observer::{BatchObserver, IndexMapObserver, NoopObserver, OffsetObserver};
+use crate::funnel::FunnelReport;
+use crate::observer::{BatchObserver, IndexMapObserver, NoopObserver};
 use crate::pipeline::{Equivalence, EquivalenceReport, PipelineConfig, Stage};
 use lv_analysis::KernelCategory;
 use lv_cir::ast::Function;
 use lv_cir::hash::{structural_hash, structural_hash_in_env, Fnv64};
 use lv_interp::ChecksumClass;
-use lv_tv::{SimplifyConfig, SymbolicStrategy, TvConfig, TvReuse, TvSessionStats};
+use lv_tv::{SimplifyConfig, SymbolicStrategy, TvReuse, TvSessionStats};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -117,12 +105,6 @@ pub struct EngineReuse {
     /// so this is the one knob that perturbs
     /// [`EngineConfig::semantic_fingerprint`].
     pub incremental: bool,
-    /// Portfolio budget racing: each symbolic stage first runs under a
-    /// conflict budget tightened by [`PORTFOLIO_TIGHT_DIVISOR`], escalating
-    /// to the full budget only on an inconclusive attempt. Verdict-identical
-    /// (see [`PortfolioStage`]); escalations are counted in
-    /// [`StageTrace::escalated`] and the reuse counters.
-    pub portfolio: bool,
     /// Clause-database simplification inside each worker's solver:
     /// SatELite-style preprocessing before every search and/or inprocessing
     /// hooks (LBD-driven learned-clause reduction, clause minimization)
@@ -141,14 +123,13 @@ impl EngineReuse {
         EngineReuse {
             memo: true,
             incremental: true,
-            portfolio: true,
             simplify: SimplifyConfig::default(),
         }
     }
 
     /// `true` if any mechanism is enabled.
     pub fn any(self) -> bool {
-        self.memo || self.incremental || self.portfolio || self.simplify.any()
+        self.memo || self.incremental || self.simplify.any()
     }
 
     /// The session-level subset handed to each worker's
@@ -172,9 +153,6 @@ pub struct ReuseCounters {
     pub blast_misses: u64,
     /// Queries solved on a warm incremental instance under an assumption.
     pub assumption_reuses: u64,
-    /// Portfolio stages whose tight attempt was inconclusive and re-ran
-    /// under the full budget.
-    pub escalations: u64,
 }
 
 impl ReuseCounters {
@@ -183,7 +161,6 @@ impl ReuseCounters {
         self.blast_hits += other.blast_hits;
         self.blast_misses += other.blast_misses;
         self.assumption_reuses += other.assumption_reuses;
-        self.escalations += other.escalations;
     }
 
     /// `true` when every counter is zero.
@@ -247,13 +224,9 @@ pub struct EngineConfig {
     /// Verdict cache consulted per job before any stage runs. `None`
     /// disables caching.
     pub cache: Option<Arc<VerdictCache>>,
-    /// Opt-in adaptive budget tuning, applied by
-    /// [`VerificationEngine::run_batch_adaptive`]. `None` (the default)
-    /// keeps the configured budgets and bit-identical verdicts.
-    pub adaptive: Option<AdaptiveBudgetPolicy>,
     /// Opt-in cross-job SMT reuse (blast memo, incremental per-scalar
-    /// solving with scalar-affinity scheduling, portfolio budget racing).
-    /// Off by default.
+    /// solving with scalar-affinity scheduling, clause-database
+    /// simplification). Off by default.
     pub reuse: EngineReuse,
 }
 
@@ -270,7 +243,6 @@ impl Default for EngineConfig {
             schedule: StageSchedule::algorithm1(),
             pipeline: PipelineConfig::default(),
             cache: None,
-            adaptive: None,
             reuse: EngineReuse::default(),
         }
     }
@@ -309,12 +281,6 @@ impl EngineConfig {
         self
     }
 
-    /// Returns this configuration with adaptive budget tuning enabled.
-    pub fn with_adaptive(mut self, policy: AdaptiveBudgetPolicy) -> EngineConfig {
-        self.adaptive = Some(policy);
-        self
-    }
-
     /// Returns this configuration with the given stage schedule.
     pub fn with_schedule(mut self, schedule: StageSchedule) -> EngineConfig {
         self.schedule = schedule;
@@ -335,11 +301,9 @@ impl EngineConfig {
     /// engine), the checksum harness configuration, and the symbolic
     /// budgets.
     ///
-    /// This is the `config` component of every [`CacheKey`]. Thread count,
-    /// the cache itself, and the adaptive *policy* are deliberately
-    /// excluded: none of them changes the verdict a given budget
-    /// configuration produces (an adaptive run caches its tuned-phase
-    /// verdicts under the tuned configuration's own fingerprint).
+    /// This is the `config` component of every [`CacheKey`]. Thread count
+    /// and the cache itself are deliberately excluded: neither changes the
+    /// verdict a given budget configuration produces.
     pub fn semantic_fingerprint(&self) -> u64 {
         let mut fnv = Fnv64::new();
         fnv.write_u64(self.cascade.len() as u64);
@@ -350,9 +314,8 @@ impl EngineConfig {
         fnv.write_u64(self.pipeline.tv.fingerprint());
         self.schedule.fingerprint_into(&self.cascade, &mut fnv);
         // Of the reuse knobs, only incremental solving perturbs the
-        // fingerprint: memo replays are clause-identical and portfolio
-        // racing is verdict-identical by construction (see [`EngineReuse`]),
-        // but a warm incremental instance is not formally guaranteed to
+        // fingerprint: memo replays are clause-identical by construction
+        // (see [`EngineReuse`]), but a warm incremental instance is not formally guaranteed to
         // reach the same verdict as a fresh solve at the budget boundary, so
         // its verdicts must not share cache keys with fresh-solve runs.
         // Writing nothing for the default keeps reuse-off fingerprints
@@ -414,10 +377,6 @@ pub struct StageTrace {
     /// and the comparison was vacuous (telemetry only; the verdict is
     /// unchanged). Always `false` for symbolic stages.
     pub name_mismatch: bool,
-    /// `true` when a [`PortfolioStage`]'s tight-budget attempt was
-    /// inconclusive and the stage escalated to the full budget. Always
-    /// `false` without [`EngineReuse::portfolio`].
-    pub escalated: bool,
 }
 
 /// The result of one job, with telemetry.
@@ -444,8 +403,7 @@ pub struct JobReport {
     /// ran.
     pub cache_hit: bool,
     /// Cross-job SMT reuse activity attributed to this job (deltas of the
-    /// worker session's counters around the job, plus this job's portfolio
-    /// escalations). All zero when reuse is off or the job was a cache hit.
+    /// worker session's counters around the job). All zero when reuse is off or the job was a cache hit.
     pub reuse: ReuseCounters,
     /// Clause-database simplification activity attributed to this job
     /// (deltas of the worker session's counters around the job). All zero
@@ -528,23 +486,6 @@ impl BatchReport {
     }
 }
 
-/// The result of [`VerificationEngine::run_batch_adaptive`]: the merged
-/// batch plus what the tuning did.
-#[derive(Debug, Clone)]
-pub struct AdaptiveBatchReport {
-    /// The merged report over all jobs, in job order.
-    pub report: BatchReport,
-    /// How many leading jobs formed the pilot (run under base budgets).
-    pub pilot_jobs: usize,
-    /// The configured budgets the pilot ran under.
-    pub base: TvConfig,
-    /// The derived budgets the remainder ran under. Equal to `base` when the
-    /// engine has no adaptive policy or the pilot produced no evidence.
-    pub tuned: TvConfig,
-    /// The pilot's funnel — the evidence the tuning was derived from.
-    pub funnel: FunnelReport,
-}
-
 /// The parallel batch verification engine.
 pub struct VerificationEngine {
     threads: usize,
@@ -562,12 +503,8 @@ pub struct VerificationEngine {
     /// [`EngineConfig::semantic_fingerprint`] of the source configuration,
     /// precomputed once — it is part of every cache key.
     config_fingerprint: u64,
-    /// The source configuration, kept so the adaptive path can rebuild a
-    /// tuned engine. `None` for caller-assembled cascades.
-    config: Option<EngineConfig>,
-    /// Cross-job SMT reuse configuration: decides worker-session reuse, the
-    /// scheduling mode (scalar affinity when incremental), and whether
-    /// symbolic stages were built as portfolios.
+    /// Cross-job SMT reuse configuration: decides worker-session reuse and
+    /// the scheduling mode (scalar affinity when incremental).
     reuse: EngineReuse,
 }
 
@@ -576,11 +513,7 @@ impl VerificationEngine {
     /// cascade stage and precomputing the per-category execution orders.
     pub fn new(config: EngineConfig) -> VerificationEngine {
         let symbolic = |strategy: SymbolicStrategy| -> Box<dyn VerificationStrategy> {
-            if config.reuse.portfolio {
-                Box::new(PortfolioStage::new(strategy, config.pipeline.tv.clone()))
-            } else {
-                Box::new(SymbolicStage::new(strategy, config.pipeline.tv.clone()))
-            }
+            Box::new(SymbolicStage::new(strategy, config.pipeline.tv.clone()))
         };
         let strategies: Vec<Box<dyn VerificationStrategy>> = config
             .cascade
@@ -626,14 +559,11 @@ impl VerificationEngine {
             cache: config.cache.clone(),
             config_fingerprint: config.semantic_fingerprint(),
             reuse: config.reuse,
-            config: Some(config),
         }
     }
 
     /// An engine with a caller-assembled cascade. Such an engine has no
-    /// configuration fingerprint, so it never caches, and
-    /// [`VerificationEngine::run_batch_adaptive`] degenerates to a plain
-    /// batch.
+    /// configuration fingerprint, so it never caches.
     pub fn with_strategies(
         threads: usize,
         strategies: Vec<Box<dyn VerificationStrategy>>,
@@ -645,7 +575,6 @@ impl VerificationEngine {
             category_orders: Vec::new(),
             cache: None,
             config_fingerprint: 0,
-            config: None,
             reuse: EngineReuse::default(),
         }
     }
@@ -805,82 +734,6 @@ impl VerificationEngine {
         }
     }
 
-    /// Runs a batch with telemetry-driven budget tuning: a pilot slice runs
-    /// under the configured budgets, the [`AdaptiveBudgetPolicy`] derives
-    /// tightened budgets from the pilot's funnel, and the remaining jobs run
-    /// under them.
-    ///
-    /// Requires [`EngineConfig::adaptive`]; without it (or for a
-    /// caller-assembled cascade) this is exactly
-    /// [`Self::run_batch_observed`] with the whole batch as the pilot, so
-    /// drivers can call it unconditionally.
-    pub fn run_batch_adaptive(
-        &self,
-        jobs: &[Job],
-        observer: &dyn BatchObserver,
-    ) -> AdaptiveBatchReport {
-        let policy = self.config.as_ref().and_then(|c| c.adaptive.clone());
-        let (Some(config), Some(policy)) = (&self.config, policy) else {
-            let report = self.run_batch_observed(jobs, observer);
-            let funnel = report.funnel();
-            let base = self
-                .config
-                .as_ref()
-                .map_or_else(TvConfig::default, |c| c.pipeline.tv.clone());
-            return AdaptiveBatchReport {
-                report,
-                pilot_jobs: jobs.len(),
-                base: base.clone(),
-                tuned: base,
-                funnel,
-            };
-        };
-
-        let pilot_len = policy.pilot_len(jobs.len());
-        // The pilot must produce real stage evidence even when a warm cache
-        // could answer it: a trace-less funnel would silently fall back to
-        // base budgets, making a warm adaptive run diverge from the cold run
-        // that filled the cache. Running the pilot through a cache-less twin
-        // re-derives the identical tuned budgets, so the remainder hits the
-        // tuned-fingerprint entries the cold run stored.
-        let pilot = if config.cache.is_some() {
-            let uncached = VerificationEngine::new(EngineConfig {
-                cache: None,
-                ..config.clone()
-            });
-            uncached.run_batch_observed(&jobs[..pilot_len], observer)
-        } else {
-            self.run_batch_observed(&jobs[..pilot_len], observer)
-        };
-        let funnel = pilot.funnel();
-        let base = config.pipeline.tv.clone();
-        let tuned = policy.derive(&funnel, &base);
-
-        let mut merged = pilot;
-        if pilot_len < jobs.len() {
-            let mut tuned_config = config.clone();
-            tuned_config.adaptive = None; // the tuning is already applied
-            tuned_config.pipeline.tv = tuned.clone();
-            let tuned_engine = VerificationEngine::new(tuned_config);
-            let rest = tuned_engine.run_batch_observed(
-                &jobs[pilot_len..],
-                &OffsetObserver::new(observer, pilot_len),
-            );
-            merged.jobs.extend(rest.jobs);
-            merged.wall += rest.wall;
-            merged.threads = merged.threads.max(rest.threads);
-            merged.cache_hits += rest.cache_hits;
-            merged.cache_misses += rest.cache_misses;
-        }
-        AdaptiveBatchReport {
-            report: merged,
-            pilot_jobs: pilot_len,
-            base,
-            tuned,
-            funnel,
-        }
-    }
-
     /// The cache key of one job under this engine's configuration, or `None`
     /// when the engine has no cache.
     fn cache_key(&self, job: &Job) -> Option<CacheKey> {
@@ -952,7 +805,6 @@ impl VerificationEngine {
         for &slot in order {
             let strategy = &self.strategies[slot];
             let stats_before = worker.session.stats;
-            worker.escalated = false;
             let stage_start = Instant::now();
             let outcome = strategy.verify(&job.scalar, &job.candidate, worker);
             let wall = stage_start.elapsed();
@@ -965,7 +817,6 @@ impl VerificationEngine {
                 conflicts: spent.0,
                 clauses: spent.1,
                 name_mismatch: strategy.stage() == Stage::Checksum && worker.name_mismatch,
-                escalated: worker.escalated,
             });
             observer.stage_finished(index, job, traces.last().expect("just pushed"));
             match outcome {
@@ -987,7 +838,6 @@ impl VerificationEngine {
             blast_hits: reuse_after.blast_hits - reuse_before.blast_hits,
             blast_misses: reuse_after.blast_misses - reuse_before.blast_misses,
             assumption_reuses: reuse_after.assumption_reuses - reuse_before.assumption_reuses,
-            escalations: traces.iter().filter(|t| t.escalated).count() as u64,
         };
         let simplify_after = worker.session.simplify_stats();
         let simplify = SimplifyCounters {
@@ -1307,49 +1157,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_run_tightens_budgets_and_keeps_verdicts() {
-        use crate::funnel::AdaptiveBudgetPolicy;
-        use crate::observer::NoopObserver;
-        let scalar = parse_function(S000).unwrap();
-        let good = vectorize_correct(&scalar).unwrap();
-        let jobs: Vec<Job> = (0..6)
-            .map(|i| Job::new(format!("job{}", i), scalar.clone(), good.clone()))
-            .collect();
-        let policy = AdaptiveBudgetPolicy {
-            min_pilot: 2,
-            pilot_fraction: 0.3,
-            ..AdaptiveBudgetPolicy::default()
-        };
-        let engine =
-            VerificationEngine::new(EngineConfig::full(quick_pipeline()).with_adaptive(policy));
-        let adaptive = engine.run_batch_adaptive(&jobs, &NoopObserver);
-        assert_eq!(adaptive.pilot_jobs, 2);
-        assert_eq!(adaptive.report.jobs.len(), 6);
-        // Tuning only tightens.
-        assert!(
-            adaptive.tuned.alive2_budget.max_conflicts <= adaptive.base.alive2_budget.max_conflicts
-        );
-        assert!(
-            adaptive.tuned.cunroll_budget.max_conflicts
-                <= adaptive.base.cunroll_budget.max_conflicts
-        );
-        // Identical jobs stay provable under the tuned budgets.
-        assert_eq!(adaptive.report.count(Equivalence::Equivalent), 6);
-        for (i, report) in adaptive.report.jobs.iter().enumerate() {
-            assert_eq!(report.label, format!("job{}", i), "job order is kept");
-        }
-        // Without a policy, the adaptive entry point degenerates to a plain
-        // batch with everything as the pilot.
-        let plain = VerificationEngine::new(EngineConfig::full(quick_pipeline()));
-        let report = plain.run_batch_adaptive(&jobs, &NoopObserver);
-        assert_eq!(report.pilot_jobs, 6);
-        assert_eq!(
-            report.tuned.alive2_budget.max_conflicts,
-            report.base.alive2_budget.max_conflicts
-        );
-    }
-
-    #[test]
     fn default_schedule_fingerprint_is_unchanged_and_overrides_differ() {
         let base = EngineConfig::full(quick_pipeline());
         let explicit_default =
@@ -1498,59 +1305,20 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_escalates_tight_budget_and_keeps_verdicts() {
-        let scalar = parse_function(S000).unwrap();
-        let commuted = parse_function(S000_COMMUTED).unwrap();
-        // The commuted proof needs a few hundred SAT conflicts; a budget of
-        // 1024 makes the tightened first attempt (1024/8 = 128) come back
-        // Unknown while the full-budget escalation still concludes.
-        let mut pipeline = quick_pipeline();
-        pipeline.tv.alive2_budget.max_conflicts = 1024;
-        let jobs = vec![Job::new("s000-comm", scalar, commuted)];
-        let baseline =
-            VerificationEngine::new(EngineConfig::full(pipeline.clone())).run_batch(&jobs);
-        let portfolio =
-            VerificationEngine::new(EngineConfig::full(pipeline).with_reuse(EngineReuse {
-                portfolio: true,
-                ..EngineReuse::default()
-            }))
-            .run_batch(&jobs);
-        let (b, p) = (&baseline.jobs[0], &portfolio.jobs[0]);
-        assert_eq!(b.verdict, p.verdict);
-        assert_eq!(b.verdict, Equivalence::Equivalent);
-        assert_eq!(b.stage, p.stage);
-        let alive2 = p.traces.iter().find(|t| t.stage == Stage::Alive2).unwrap();
-        assert!(alive2.escalated, "the tight attempt must have escalated");
-        assert_eq!(portfolio.reuse_totals().escalations, 1);
-        assert_eq!(baseline.reuse_totals().escalations, 0);
-        let funnel = crate::FunnelReport::from_jobs(&portfolio.jobs);
-        assert_eq!(funnel.stage(Stage::Alive2).unwrap().escalations, 1);
-        assert_eq!(funnel.reuse.escalations, 1);
-    }
-
-    #[test]
     fn reuse_fingerprint_tracks_only_the_incremental_layer() {
         let base = EngineConfig::full(quick_pipeline());
         let memo = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
             memo: true,
             ..EngineReuse::default()
         });
-        let portfolio = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
-            portfolio: true,
-            ..EngineReuse::default()
-        });
         let incremental = EngineConfig::full(quick_pipeline()).with_reuse(EngineReuse {
             incremental: true,
             ..EngineReuse::default()
         });
-        // Memoization is clause-identical and the portfolio verdict-identical
-        // by construction: neither changes the verification problem, so
-        // neither may invalidate cached verdicts.
+        // Memoization is clause-identical by construction: it does not
+        // change the verification problem, so it may not invalidate cached
+        // verdicts.
         assert_eq!(base.semantic_fingerprint(), memo.semantic_fingerprint());
-        assert_eq!(
-            base.semantic_fingerprint(),
-            portfolio.semantic_fingerprint()
-        );
         // Incremental solving reformulates the query, so it is a different
         // configuration.
         assert_ne!(

@@ -1,28 +1,16 @@
-//! The telemetry funnel and the adaptive budget policy built on it.
+//! The telemetry funnel.
 //!
 //! Every job the engine runs records a [`StageTrace`](crate::StageTrace)
-//! per cascade stage; PR 1
-//! added the telemetry, this module is its first consumer. A
-//! [`FunnelReport`] aggregates a batch's traces per stage — how many jobs
-//! reached the stage, how many it killed (and with which verdict), and the
-//! distribution of SAT conflicts it spent — and renders the result as a
-//! funnel table with log₂ conflict histograms.
-//!
-//! The [`AdaptiveBudgetPolicy`] turns that distribution into tuned
-//! [`SolverBudget`]s: conclusive queries tell us how much effort proofs
-//! *actually* need at each stage, so the policy caps each stage's budget at
-//! the maximum conclusive effort observed plus a safety margin. Inconclusive
-//! queries at a stage — the ones that burn the whole budget and fall
-//! through anyway — then give up earlier and fall through to the next
-//! (cheaper-per-verdict) strategy sooner. Derived budgets only ever
-//! *tighten* the configured base and never drop below the policy floor.
-//! Tuning is opt-in ([`EngineConfig::adaptive`](crate::EngineConfig)): with
-//! it off, budgets are exactly the configured ones and verdicts stay
-//! bit-identical.
+//! per cascade stage. A [`FunnelReport`] aggregates a batch's traces per
+//! stage — how many jobs reached the stage, how many it killed (and with
+//! which verdict), and the distribution of SAT conflicts it spent — and
+//! renders the result as a funnel table with log₂ conflict histograms. The
+//! persisted [`CrossRunProfile`](crate::profile::CrossRunProfile) keeps the
+//! same per-stage evidence across runs and derives tightened budgets from
+//! it.
 
 use crate::engine::JobReport;
 use crate::pipeline::{Equivalence, Stage};
-use lv_tv::{SolverBudget, TvConfig};
 use std::time::Duration;
 
 /// Number of log₂ buckets in a conflict histogram: bucket 0 counts
@@ -51,13 +39,8 @@ pub struct StageFunnel {
     pub total_conflicts: u64,
     /// Largest conflict count any single run of this stage spent.
     pub max_conflicts: u64,
-    /// Largest conflict count among *conclusive* runs — what the adaptive
-    /// policy budgets for.
-    pub conclusive_max_conflicts: u64,
     /// CNF clauses built by this stage across all jobs.
     pub total_clauses: u64,
-    /// Largest clause count among conclusive runs.
-    pub conclusive_max_clauses: u64,
     /// Wall time spent in this stage across all jobs.
     pub wall: Duration,
     /// Histogram of per-run conflict counts (see [`HISTOGRAM_BUCKETS`]).
@@ -67,11 +50,6 @@ pub struct StageFunnel {
     /// checksum stage this counts candidates the harness tested vacuously on
     /// disjoint arrays.
     pub name_mismatches: usize,
-    /// Portfolio runs whose tight-budget attempt was inconclusive and
-    /// escalated to the full budget
-    /// ([`StageTrace::escalated`](crate::StageTrace)). Always `0` without
-    /// [`EngineReuse::portfolio`](crate::EngineReuse).
-    pub escalations: usize,
 }
 
 impl StageFunnel {
@@ -85,13 +63,10 @@ impl StageFunnel {
             passed: 0,
             total_conflicts: 0,
             max_conflicts: 0,
-            conclusive_max_conflicts: 0,
             total_clauses: 0,
-            conclusive_max_clauses: 0,
             wall: Duration::ZERO,
             conflict_histogram: [0; HISTOGRAM_BUCKETS],
             name_mismatches: 0,
-            escalations: 0,
         }
     }
 
@@ -158,13 +133,7 @@ impl FunnelReport {
                 if trace.name_mismatch {
                     stage.name_mismatches += 1;
                 }
-                if trace.escalated {
-                    stage.escalations += 1;
-                }
                 if trace.conclusive {
-                    stage.conclusive_max_conflicts =
-                        stage.conclusive_max_conflicts.max(trace.conflicts);
-                    stage.conclusive_max_clauses = stage.conclusive_max_clauses.max(trace.clauses);
                     match report.verdict {
                         Equivalence::Equivalent => stage.equivalent += 1,
                         Equivalence::NotEquivalent => stage.not_equivalent += 1,
@@ -225,12 +194,8 @@ impl FunnelReport {
         }
         if !self.reuse.is_zero() {
             out += &format!(
-                "reuse: {} blast-cache hits / {} misses, {} assumption reuses, \
-                 {} portfolio escalations\n",
-                self.reuse.blast_hits,
-                self.reuse.blast_misses,
-                self.reuse.assumption_reuses,
-                self.reuse.escalations
+                "reuse: {} blast-cache hits / {} misses, {} assumption reuses\n",
+                self.reuse.blast_hits, self.reuse.blast_misses, self.reuse.assumption_reuses
             );
         }
         if !self.simplify.is_zero() {
@@ -258,143 +223,13 @@ fn spark(count: usize, peak: usize) -> char {
     }
 }
 
-/// Derives per-stage solver budgets from a funnel's conflict distribution.
-///
-/// See the module docs for the tuning rationale. The policy also decides how
-/// a batch is split into the *pilot* (run under base budgets to gather the
-/// distribution) and the remainder (run under the derived budgets) by
-/// [`VerificationEngine::run_batch_adaptive`](crate::VerificationEngine::run_batch_adaptive).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveBudgetPolicy {
-    /// Fraction of the batch used as the pilot, in `(0, 1]`.
-    pub pilot_fraction: f64,
-    /// Lower bound on the pilot size (small batches are all pilot).
-    pub min_pilot: usize,
-    /// Safety margin over the maximum conclusive effort observed, in
-    /// percent: `100` doubles it.
-    pub margin_percent: u64,
-    /// Budgets never tuned below this floor.
-    pub floor: SolverBudget,
-}
-
-impl Default for AdaptiveBudgetPolicy {
-    fn default() -> Self {
-        AdaptiveBudgetPolicy {
-            pilot_fraction: 0.25,
-            min_pilot: 8,
-            margin_percent: 100,
-            floor: SolverBudget {
-                max_conflicts: 1_000,
-                max_clauses: 100_000,
-            },
-        }
-    }
-}
-
-impl AdaptiveBudgetPolicy {
-    /// How many of `jobs` jobs the pilot phase covers.
-    pub fn pilot_len(&self, jobs: usize) -> usize {
-        if jobs == 0 {
-            return 0;
-        }
-        let by_fraction = (jobs as f64 * self.pilot_fraction).ceil() as usize;
-        by_fraction.max(self.min_pilot).min(jobs)
-    }
-
-    /// Tunes the three symbolic-stage budgets of `base` from the observed
-    /// funnel. Stages the funnel never saw conclude keep their base budget —
-    /// there is no evidence to tune from.
-    pub fn derive(&self, funnel: &FunnelReport, base: &TvConfig) -> TvConfig {
-        let mut tuned = base.clone();
-        tuned.alive2_budget = self.tune(funnel.stage(Stage::Alive2), base.alive2_budget);
-        tuned.cunroll_budget = self.tune(funnel.stage(Stage::CUnroll), base.cunroll_budget);
-        tuned.spatial_budget = self.tune(funnel.stage(Stage::Splitting), base.spatial_budget);
-        tuned
-    }
-
-    /// Tunes the symbolic-stage budgets of `base` from a persisted
-    /// [`CrossRunProfile`](crate::profile::CrossRunProfile) instead of a
-    /// pilot slice's funnel: the profile's per-category cells are aggregated
-    /// per stage (kills summed, conclusive-effort highwater marks maxed) and
-    /// fed through the same tightening rule, so a warm-profile run starts
-    /// under tuned budgets without sacrificing any leading jobs as a pilot.
-    /// Like [`AdaptiveBudgetPolicy::derive`], the result only tightens
-    /// `base` and never drops below the policy floor; stages the profile
-    /// never saw conclude keep their base budget.
-    pub fn derive_from_profile(
-        &self,
-        profile: &crate::profile::CrossRunProfile,
-        base: &TvConfig,
-    ) -> TvConfig {
-        let mut tuned = base.clone();
-        tuned.alive2_budget = self.tune(
-            profile_stage_funnel(profile, Stage::Alive2).as_ref(),
-            base.alive2_budget,
-        );
-        tuned.cunroll_budget = self.tune(
-            profile_stage_funnel(profile, Stage::CUnroll).as_ref(),
-            base.cunroll_budget,
-        );
-        tuned.spatial_budget = self.tune(
-            profile_stage_funnel(profile, Stage::Splitting).as_ref(),
-            base.spatial_budget,
-        );
-        tuned
-    }
-
-    fn tune(&self, observed: Option<&StageFunnel>, base: SolverBudget) -> SolverBudget {
-        let Some(stage) = observed else {
-            return base;
-        };
-        if stage.killed() == 0 {
-            return base;
-        }
-        let scale = |v: u64| v.saturating_mul(100 + self.margin_percent) / 100;
-        let derived = SolverBudget {
-            max_conflicts: scale(stage.conclusive_max_conflicts).max(1),
-            // The clause budget models memory, and bit-blasting happens
-            // before any conflict is spent — budget for the largest
-            // conclusive query seen, with the same margin.
-            max_clauses: usize::try_from(scale(stage.conclusive_max_clauses).max(1))
-                .unwrap_or(usize::MAX),
-        };
-        derived.max_with(self.floor).min_with(base)
-    }
-}
-
-/// Aggregates a profile's per-category cells for one stage into the
-/// [`StageFunnel`] shape the tuning rule consumes. `None` when no category
-/// ever reached the stage (no evidence — keep the base budget).
-fn profile_stage_funnel(
-    profile: &crate::profile::CrossRunProfile,
-    stage: Stage,
-) -> Option<StageFunnel> {
-    let mut funnel = StageFunnel::new(stage);
-    let mut seen = false;
-    for category in lv_analysis::KernelCategory::all() {
-        if let Some(cell) = profile.cell(category, stage) {
-            seen = true;
-            funnel.entered += usize::try_from(cell.entered).unwrap_or(usize::MAX);
-            // The tuning rule only consumes `killed()` and the conclusive
-            // highwater marks; the profile does not split kills by verdict,
-            // so they all land in `equivalent`.
-            funnel.equivalent += usize::try_from(cell.killed).unwrap_or(usize::MAX);
-            funnel.total_conflicts += cell.conflicts;
-            funnel.conclusive_max_conflicts = funnel
-                .conclusive_max_conflicts
-                .max(cell.conclusive_max_conflicts);
-            funnel.conclusive_max_clauses = funnel
-                .conclusive_max_clauses
-                .max(cell.conclusive_max_clauses);
-        }
-    }
-    seen.then_some(funnel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::StageTrace;
+    use crate::profile::CrossRunProfile;
+    use lv_analysis::KernelCategory;
+    use lv_tv::TvConfig;
 
     fn job(verdict: Equivalence, traces: Vec<StageTrace>) -> JobReport {
         JobReport {
@@ -419,7 +254,6 @@ mod tests {
             conflicts,
             clauses,
             name_mismatch: false,
-            escalated: false,
         }
     }
 
@@ -462,7 +296,6 @@ mod tests {
         assert_eq!(alive2.entered, 2);
         assert_eq!(alive2.equivalent, 1);
         assert_eq!(alive2.passed, 1);
-        assert_eq!(alive2.conclusive_max_conflicts, 500);
         assert_eq!(alive2.max_conflicts, 5_000);
 
         let cunroll = funnel.stage(Stage::CUnroll).unwrap();
@@ -496,6 +329,16 @@ mod tests {
         assert_eq!(histogram_bucket(u64::MAX), HISTOGRAM_BUCKETS - 1);
     }
 
+    /// The cross-run profile of `reports`, all under one kernel category —
+    /// the evidence budget tightening consumes.
+    fn profile_of(reports: &[JobReport]) -> CrossRunProfile {
+        let mut profile = CrossRunProfile::new();
+        for report in reports {
+            profile.observe(KernelCategory::Reduction, report);
+        }
+        profile
+    }
+
     #[test]
     fn adaptive_policy_tightens_toward_observed_effort() {
         let reports = vec![
@@ -515,104 +358,45 @@ mod tests {
                 ],
             ),
         ];
-        let funnel = FunnelReport::from_jobs(&reports);
         let base = TvConfig::default();
-        let policy = AdaptiveBudgetPolicy::default();
-        let tuned = policy.derive(&funnel, &base);
+        let tuned = profile_of(&reports).tuned_budgets(&base);
 
         // Alive2 concluded at ≤900 conflicts: tuned to 1800 (margin 100%),
         // well below the 60k base — inconclusive jobs stop wasting 60k.
         assert_eq!(tuned.alive2_budget.max_conflicts, 1_800);
         assert_eq!(tuned.alive2_budget.max_clauses, 160_000);
         // C-Unroll never concluded: keep the base budget.
-        assert_eq!(
-            tuned.cunroll_budget.max_conflicts,
-            base.cunroll_budget.max_conflicts
-        );
+        assert_eq!(tuned.cunroll_budget, base.cunroll_budget);
         // Splitting never ran: keep the base budget.
-        assert_eq!(
-            tuned.spatial_budget.max_conflicts,
-            base.spatial_budget.max_conflicts
-        );
+        assert_eq!(tuned.spatial_budget, base.spatial_budget);
         // Non-budget fields are untouched.
         assert_eq!(tuned.alive2_chunks, base.alive2_chunks);
+
+        // An empty profile changes nothing at all.
+        let untouched = CrossRunProfile::new().tuned_budgets(&base);
+        assert_eq!(untouched.alive2_budget, base.alive2_budget);
+        assert_eq!(untouched.cunroll_budget, base.cunroll_budget);
+        assert_eq!(untouched.spatial_budget, base.spatial_budget);
     }
 
     #[test]
     fn adaptive_policy_respects_floor_and_base() {
+        let base = TvConfig::default();
+        // Tiny observations are floored at 1k conflicts / 100k clauses.
         let reports = vec![job(
             Equivalence::Equivalent,
             vec![trace(Stage::Alive2, true, 1, 10)],
         )];
-        let funnel = FunnelReport::from_jobs(&reports);
-        let base = TvConfig::default();
-        let policy = AdaptiveBudgetPolicy::default();
-        let tuned = policy.derive(&funnel, &base);
-        // Tiny observations are floored.
-        assert_eq!(
-            tuned.alive2_budget.max_conflicts,
-            policy.floor.max_conflicts
-        );
-        assert_eq!(tuned.alive2_budget.max_clauses, policy.floor.max_clauses);
+        let tuned = profile_of(&reports).tuned_budgets(&base);
+        assert_eq!(tuned.alive2_budget.max_conflicts, 1_000);
+        assert_eq!(tuned.alive2_budget.max_clauses, 100_000);
 
         // Huge observations are capped at the base.
         let reports = vec![job(
             Equivalence::Equivalent,
             vec![trace(Stage::Alive2, true, u64::MAX / 2, u64::MAX / 2)],
         )];
-        let funnel = FunnelReport::from_jobs(&reports);
-        let tuned = policy.derive(&funnel, &base);
-        assert_eq!(
-            tuned.alive2_budget.max_conflicts,
-            base.alive2_budget.max_conflicts
-        );
-    }
-
-    #[test]
-    fn profile_derivation_matches_pilot_derivation() {
-        use crate::profile::CrossRunProfile;
-        use lv_analysis::KernelCategory;
-
-        // The same evidence, once as a pilot funnel and once as a persisted
-        // profile, must derive the same budgets.
-        let reports = vec![
-            job(
-                Equivalence::Equivalent,
-                vec![trace(Stage::Alive2, true, 400, 50_000)],
-            ),
-            job(
-                Equivalence::Equivalent,
-                vec![trace(Stage::Alive2, true, 900, 80_000)],
-            ),
-        ];
-        let funnel = FunnelReport::from_jobs(&reports);
-        let mut profile = CrossRunProfile::new();
-        for report in &reports {
-            profile.observe(KernelCategory::Reduction, report);
-        }
-        let base = TvConfig::default();
-        let policy = AdaptiveBudgetPolicy::default();
-        let from_pilot = policy.derive(&funnel, &base);
-        let from_profile = policy.derive_from_profile(&profile, &base);
-        assert_eq!(
-            from_pilot.alive2_budget, from_profile.alive2_budget,
-            "same evidence, same tightening"
-        );
-        // Unobserved stages keep the base budget either way.
-        assert_eq!(from_profile.cunroll_budget, base.cunroll_budget);
-        assert_eq!(from_profile.spatial_budget, base.spatial_budget);
-
-        // An empty profile changes nothing at all.
-        let untouched = policy.derive_from_profile(&CrossRunProfile::new(), &base);
-        assert_eq!(untouched.alive2_budget, base.alive2_budget);
-    }
-
-    #[test]
-    fn pilot_sizing() {
-        let policy = AdaptiveBudgetPolicy::default();
-        assert_eq!(policy.pilot_len(0), 0);
-        assert_eq!(policy.pilot_len(4), 4, "small batches are all pilot");
-        assert_eq!(policy.pilot_len(100), 25);
-        assert_eq!(policy.pilot_len(20), 8, "min_pilot dominates");
+        let tuned = profile_of(&reports).tuned_budgets(&base);
+        assert_eq!(tuned.alive2_budget, base.alive2_budget);
     }
 }

@@ -1,4 +1,4 @@
-//! # lv-core — the observable, cached, self-tuning batch verification engine
+//! # lv-core — the observable, cached, profile-tuned batch verification engine
 //!
 //! This crate ties the substrates together into the system the paper
 //! describes, built around a batch engine rather than a hard-coded loop:
@@ -18,11 +18,11 @@
 //!   win, and reordering sound symbolic stages only changes which one
 //!   answers first. [`EngineReuse`] layers cross-job SMT reuse on top
 //!   (blasted-CNF memoization, incremental per-scalar sessions under
-//!   scalar-affinity scheduling, portfolio budget racing via
-//!   [`PortfolioStage`]); verdict classes and checksums are pinned across
-//!   all layers, per-job activity is counted in [`ReuseCounters`], and only
-//!   the incremental layer (which can improve the concluding stage)
-//!   perturbs the cache fingerprint;
+//!   scalar-affinity scheduling, clause-database simplification); each
+//!   symbolic stage still runs once under one budget. Verdict classes and
+//!   checksums are pinned across all layers, per-job activity is counted
+//!   in [`ReuseCounters`], and only the incremental layer (which can
+//!   improve the concluding stage) perturbs the cache fingerprint;
 //! * [`observer`] — the [`BatchObserver`] trait: job-started /
 //!   stage-finished / job-finished callbacks fired from the worker pool as
 //!   a batch progresses, so sweeps render incrementally
@@ -36,19 +36,16 @@
 //!   before *any* stage runs; a warmed cache re-runs a whole sweep with
 //!   zero checksum/SMT executions and bit-identical verdicts. See the
 //!   module docs for the file format and invalidation rules;
-//! * [`funnel`] — the first consumer of the telemetry: [`FunnelReport`]
-//!   aggregates per-stage reach/kill/conflict distributions over a batch,
-//!   and [`AdaptiveBudgetPolicy`] derives tightened per-stage
-//!   [`lv_tv::SolverBudget`]s from it
-//!   ([`VerificationEngine::run_batch_adaptive`]; opt-in, default off so
-//!   verdicts stay bit-identical);
+//! * [`funnel`] — the per-batch consumer of the telemetry: [`FunnelReport`]
+//!   aggregates per-stage reach/kill/conflict distributions over a batch;
 //! * [`profile`] — the *cross-run* consumer of the telemetry: a
 //!   [`CrossRunProfile`] persists per-category per-stage reach/kill/time
 //!   as a CRC-framed journal next to the verdict cache, accumulating over
 //!   every sweep; [`StageSchedule::from_profile`] derives the next run's
 //!   per-category stage order from it and
-//!   [`AdaptiveBudgetPolicy::derive_from_profile`] its tightened budgets —
-//!   no pilot slice needed once a profile exists;
+//!   [`CrossRunProfile::tuned_budgets`] its tightened per-stage
+//!   [`lv_tv::SolverBudget`]s. A symbolic stage's budget is either the
+//!   configured one or this derived one;
 //! * [`service`] — the always-on form of the engine: a loopback-first TCP
 //!   daemon ([`VerificationService`]) plus client ([`ServiceClient`])
 //!   speaking a length-prefixed, CRC32-framed binary protocol whose verdict
@@ -145,10 +142,9 @@ pub use cache::{
     VerdictCache, CACHE_FORMAT_VERSION,
 };
 pub use engine::{
-    job_channel, parallel_map, AdaptiveBatchReport, BatchReport, ChecksumStage, EngineConfig,
-    EngineReuse, Job, JobProducer, JobReport, JobSource, PortfolioStage, ReuseCounters,
-    SimplifyCounters, StageSchedule, StageTrace, StrategyOutcome, SymbolicStage,
-    VerificationEngine, VerificationStrategy, WorkerState, PORTFOLIO_TIGHT_DIVISOR,
+    job_channel, parallel_map, BatchReport, ChecksumStage, EngineConfig, EngineReuse, Job,
+    JobProducer, JobReport, JobSource, ReuseCounters, SimplifyCounters, StageSchedule, StageTrace,
+    StrategyOutcome, SymbolicStage, VerificationEngine, VerificationStrategy, WorkerState,
     SYMBOLIC_STAGES,
 };
 pub use experiments::{
@@ -157,11 +153,11 @@ pub use experiments::{
     ExperimentConfig, Figure5, FsmEvaluation, KernelVerdict, SpeedupFigure, SpeedupRow, Table2,
     Table2Column, Table3, Table3Row,
 };
-pub use funnel::{AdaptiveBudgetPolicy, FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
+pub use funnel::{FunnelReport, StageFunnel, HISTOGRAM_BUCKETS};
 pub use journal::FsyncPolicy;
 pub use observer::{
     BatchObserver, CallbackObserver, CountingObserver, IndexMapObserver, NoopObserver,
-    OffsetObserver, StreamObserver, TeeObserver,
+    StreamObserver, TeeObserver,
 };
 pub use passk::{
     generate_then_verify_pass_at_k, overlapped_pass_at_k, overlapped_pass_at_k_observed, pass_at_k,

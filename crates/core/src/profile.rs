@@ -1,17 +1,27 @@
 //! The persisted cross-run telemetry profile.
 //!
 //! The [`FunnelReport`](crate::FunnelReport) aggregates one batch's stage
-//! telemetry and the [`AdaptiveBudgetPolicy`](crate::AdaptiveBudgetPolicy)
-//! tunes budgets from a *pilot slice* of the same batch — but everything
-//! either learns dies with the process. A [`CrossRunProfile`] is the
-//! cross-run memory: per kernel category ([`lv_analysis::KernelCategory`])
-//! and per cascade stage it accumulates how many jobs reached the stage, how
-//! many it killed, and how much wall time and SAT effort it spent, over
-//! *every* sweep that ever recorded into it. From a loaded profile,
+//! telemetry, but what it learns dies with the process. A
+//! [`CrossRunProfile`] is the cross-run memory: per kernel category
+//! ([`lv_analysis::KernelCategory`]) and per cascade stage it accumulates
+//! how many jobs reached the stage, how many it killed, and how much wall
+//! time and SAT effort it spent, over *every* sweep that ever recorded into
+//! it. From a loaded profile,
 //! [`StageSchedule::from_profile`](crate::engine::StageSchedule::from_profile)
 //! derives the per-category stage order and
-//! [`AdaptiveBudgetPolicy::derive_from_profile`](crate::AdaptiveBudgetPolicy::derive_from_profile)
-//! derives tightened budgets for the next run — no pilot slice needed.
+//! [`CrossRunProfile::tuned_budgets`] derives tightened budgets for the next
+//! run.
+//!
+//! # Budget tightening
+//!
+//! Conclusive queries tell us how much effort proofs *actually* need at each
+//! stage, so [`CrossRunProfile::tuned_budgets`] caps each stage's budget at
+//! the largest conclusive effort ever observed plus a 100% safety margin.
+//! Inconclusive queries at a stage — the ones that burn the whole budget
+//! and fall through anyway — then give up earlier and fall through to the
+//! next strategy sooner. Derived budgets only ever *tighten* the configured
+//! base and never drop below a floor of 1k conflicts / 100k clauses; stages
+//! the profile never saw conclude keep their base budget.
 //!
 //! # File format
 //!
@@ -22,9 +32,11 @@
 //! * header record: `{"journal":"cross-run-profile","version":1}`;
 //! * one record per `(category, stage)` cell **delta**:
 //!   `{"category":"reduction","stage":"alive2","entered":…,"killed":…,
-//!   "wall_us":…,"conflicts":…,"cmax_conflicts":…,"cmax_clauses":…}` with
-//!   every count a 16-digit lower-case hex `u64`, exactly like the verdict
-//!   cache's hashes.
+//!   "wall_us":…,"conflicts":…,"cmax_conflicts":…,"cmax_clauses":…}` plus
+//!   the simplification counters, with every count a 16-digit lower-case
+//!   hex `u64`, exactly like the verdict cache's hashes. Unknown keys are
+//!   ignored, so journals carrying counters this build no longer records
+//!   load unchanged.
 //!
 //! Each sweep appends its own deltas ([`CrossRunProfile::append_to`]) —
 //! O(cells) I/O, at most `categories × stages` records per run — and replay
@@ -51,6 +63,7 @@ use crate::engine::{Job, JobReport};
 use crate::journal::{self, FsyncPolicy, JournalWriter};
 use crate::pipeline::Stage;
 use lv_analysis::{categorize, KernelCategory};
+use lv_tv::{SolverBudget, TvConfig};
 use serde::json::{Emitter, Value};
 use std::collections::BTreeMap;
 use std::io;
@@ -61,6 +74,16 @@ pub const PROFILE_FORMAT_VERSION: i64 = 1;
 
 /// The journal-header kind tag for profile journals.
 pub(crate) const PROFILE_JOURNAL_KIND: &str = "cross-run-profile";
+
+/// Safety margin of a tuned budget over the largest conclusive effort
+/// observed, in percent: `100` doubles it.
+const TUNING_MARGIN_PERCENT: u64 = 100;
+
+/// Tuned budgets never drop below this floor.
+const TUNING_FLOOR: SolverBudget = SolverBudget {
+    max_conflicts: 1_000,
+    max_clauses: 100_000,
+};
 
 /// Accumulated telemetry for one `(category, stage)` cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,11 +102,6 @@ pub struct ProfileCell {
     pub conclusive_max_conflicts: u64,
     /// Largest clause count among conclusive executions.
     pub conclusive_max_clauses: u64,
-    /// Portfolio runs whose tight-budget attempt escalated to the full
-    /// budget ([`StageTrace::escalated`](crate::StageTrace)) — evidence of
-    /// how often the tightened first attempt fails for this cell. Older
-    /// journals without the field replay as `0`.
-    pub escalations: u64,
     /// Variables removed by clause-database preprocessing
     /// ([`JobReport::simplify`](crate::JobReport)), attributed to the job's
     /// concluding stage. Older journals without the field replay as `0`.
@@ -108,7 +126,6 @@ impl ProfileCell {
         self.conclusive_max_clauses = self
             .conclusive_max_clauses
             .max(other.conclusive_max_clauses);
-        self.escalations += other.escalations;
         self.vars_eliminated += other.vars_eliminated;
         self.clauses_subsumed += other.clauses_subsumed;
         self.clauses_strengthened += other.clauses_strengthened;
@@ -158,9 +175,6 @@ impl CrossRunProfile {
             cell.entered += 1;
             cell.wall_us += u64::try_from(trace.wall.as_micros()).unwrap_or(u64::MAX);
             cell.conflicts += trace.conflicts;
-            if trace.escalated {
-                cell.escalations += 1;
-            }
             if trace.conclusive {
                 cell.killed += 1;
                 cell.conclusive_max_conflicts = cell.conclusive_max_conflicts.max(trace.conflicts);
@@ -197,6 +211,39 @@ impl CrossRunProfile {
             }
         }
         delta
+    }
+
+    /// Tunes the three symbolic-stage budgets of `base` from the profile's
+    /// conclusive-effort highwater marks, taken across every category (see
+    /// the [module docs](self#budget-tightening) for the rule). Non-budget
+    /// fields of `base` are returned unchanged.
+    pub fn tuned_budgets(&self, base: &TvConfig) -> TvConfig {
+        let mut tuned = base.clone();
+        tuned.alive2_budget = self.tune(Stage::Alive2, base.alive2_budget);
+        tuned.cunroll_budget = self.tune(Stage::CUnroll, base.cunroll_budget);
+        tuned.spatial_budget = self.tune(Stage::Splitting, base.spatial_budget);
+        tuned
+    }
+
+    fn tune(&self, stage: Stage, base: SolverBudget) -> SolverBudget {
+        let (mut killed, mut max_conflicts, mut max_clauses) = (0, 0, 0);
+        for (_, _, cell) in self.cells().filter(|(_, s, _)| *s == stage) {
+            killed += cell.killed;
+            max_conflicts = max_conflicts.max(cell.conclusive_max_conflicts);
+            max_clauses = max_clauses.max(cell.conclusive_max_clauses);
+        }
+        if killed == 0 {
+            return base;
+        }
+        let scale = |v: u64| v.saturating_mul(100 + TUNING_MARGIN_PERCENT) / 100;
+        let derived = SolverBudget {
+            max_conflicts: scale(max_conflicts).max(1),
+            // The clause budget models memory, and bit-blasting happens
+            // before any conflict is spent — budget for the largest
+            // conclusive query seen, with the same margin.
+            max_clauses: usize::try_from(scale(max_clauses).max(1)).unwrap_or(usize::MAX),
+        };
+        derived.max_with(TUNING_FLOOR).min_with(base)
     }
 
     /// Merges `other`'s observations into this profile.
@@ -321,7 +368,6 @@ fn emit_cell(
     e.field_hex("conflicts", cell.conflicts)?;
     e.field_hex("cmax_conflicts", cell.conclusive_max_conflicts)?;
     e.field_hex("cmax_clauses", cell.conclusive_max_clauses)?;
-    e.field_hex("escalations", cell.escalations)?;
     e.field_hex("vars_eliminated", cell.vars_eliminated)?;
     e.field_hex("clauses_subsumed", cell.clauses_subsumed)?;
     e.field_hex("clauses_strengthened", cell.clauses_strengthened)?;
@@ -344,14 +390,8 @@ fn parse_cell(record: &Value) -> Result<(KernelCategory, Stage, ProfileCell), St
         conflicts: parse_hex(record.get("conflicts"), "conflicts")?,
         conclusive_max_conflicts: parse_hex(record.get("cmax_conflicts"), "cmax_conflicts")?,
         conclusive_max_clauses: parse_hex(record.get("cmax_clauses"), "cmax_clauses")?,
-        // Added after format version 1 shipped; journals written before the
-        // portfolio existed simply lack the field, and absence means zero.
-        escalations: match record.get("escalations") {
-            None => 0,
-            some => parse_hex(some, "escalations")?,
-        },
-        // Same absence-means-zero contract for the simplification counters,
-        // which postdate the escalation field.
+        // Added after format version 1 shipped; journals written before
+        // them simply lack the fields, and absence means zero.
         vars_eliminated: match record.get("vars_eliminated") {
             None => 0,
             some => parse_hex(some, "vars_eliminated")?,
@@ -412,7 +452,6 @@ mod tests {
             conflicts,
             clauses: conflicts * 10,
             name_mismatch: false,
-            escalated: false,
         }
     }
 

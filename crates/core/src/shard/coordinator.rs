@@ -315,8 +315,8 @@ struct StallWatch {
     moved: Instant,
 }
 
-/// Runs `jobs` as a multi-process sweep under `config` (whose `cache` and
-/// `adaptive` fields are ignored — see [`SweepManifest`]) and merges the
+/// Runs `jobs` as a multi-process sweep under `config` (whose `cache` field
+/// is ignored — see [`SweepManifest`]) and merges the
 /// results, spawning workers as local child processes. See the
 /// [module docs](crate::shard) for the full contract.
 pub fn run_sharded_sweep(

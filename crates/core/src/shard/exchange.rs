@@ -306,10 +306,8 @@ impl GenerationSpec {
 }
 
 /// The coordinator → worker manifest: the full job list, the shard layout,
-/// and the engine configuration (minus cache and adaptive policy — every
-/// worker opens its own per-shard cache file, and adaptive tuning is a
-/// whole-batch decision that sharding deliberately leaves off so verdicts
-/// stay bit-identical to the single-process run).
+/// and the engine configuration (minus the cache — every worker opens its
+/// own per-shard cache file).
 #[derive(Debug, Clone)]
 pub struct SweepManifest {
     /// Number of shards the sweep is partitioned into.
@@ -331,7 +329,8 @@ pub struct SweepManifest {
     /// because incremental reuse perturbs the configuration fingerprint —
     /// a worker must run the same reuse layers to produce (and verify) the
     /// recorded fingerprint. Manifests written before the reuse subsystem
-    /// carry no field and mean "all layers off".
+    /// carry no field and mean "all layers off"; unknown keys in the
+    /// `reuse` object are ignored.
     pub reuse: EngineReuse,
     /// The sweep's jobs, in batch order. **Empty when [`generation`] is
     /// set** — a generation manifest ships no printed candidates; go
@@ -350,8 +349,8 @@ pub struct SweepManifest {
 
 impl SweepManifest {
     /// Builds a manifest for `jobs` under `config`, partitioned into
-    /// `shards` shards by `policy`. `config.cache` and `config.adaptive`
-    /// are not part of the exchange (see the struct docs).
+    /// `shards` shards by `policy`. `config.cache` is not part of the
+    /// exchange (see the struct docs).
     pub fn new(
         config: &EngineConfig,
         jobs: &[Job],
@@ -429,7 +428,6 @@ impl SweepManifest {
             schedule: self.schedule.clone(),
             pipeline: self.pipeline.clone(),
             cache: None,
-            adaptive: None,
             reuse: self.reuse,
         }
     }
@@ -483,7 +481,6 @@ impl SweepManifest {
         e.begin_object()?;
         e.field_bool("memo", self.reuse.memo)?;
         e.field_bool("incremental", self.reuse.incremental)?;
-        e.field_bool("portfolio", self.reuse.portfolio)?;
         e.field_bool("simplify_preprocess", self.reuse.simplify.preprocess)?;
         e.field_bool("simplify_inprocess", self.reuse.simplify.inprocess)?;
         e.end_object()?;
@@ -649,7 +646,6 @@ impl SweepManifest {
             Some(obj) => EngineReuse {
                 memo: bool_field(obj, "memo").map_err(ShardError::Format)?,
                 incremental: bool_field(obj, "incremental").map_err(ShardError::Format)?,
-                portfolio: bool_field(obj, "portfolio").map_err(ShardError::Format)?,
                 simplify: lv_tv::SimplifyConfig {
                     preprocess: opt_bool_field(obj, "simplify_preprocess")
                         .map_err(ShardError::Format)?,
@@ -1035,7 +1031,6 @@ fn emit_job_report<W: io::Write>(
     e.field_hex("blast_hits", report.reuse.blast_hits)?;
     e.field_hex("blast_misses", report.reuse.blast_misses)?;
     e.field_hex("assumption_reuses", report.reuse.assumption_reuses)?;
-    e.field_hex("escalations", report.reuse.escalations)?;
     e.end_object()?;
     e.key("simplify")?;
     e.begin_object()?;
@@ -1055,7 +1050,6 @@ fn emit_job_report<W: io::Write>(
         e.field_hex("conflicts", trace.conflicts)?;
         e.field_hex("clauses", trace.clauses)?;
         e.field_bool("name_mismatch", trace.name_mismatch)?;
-        e.field_bool("escalated", trace.escalated)?;
         e.end_object()?;
     }
     e.end_array()?;
@@ -1076,9 +1070,6 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
                 conflicts: parse_hex(trace.get("conflicts"), "conflicts")?,
                 clauses: parse_hex(trace.get("clauses"), "clauses")?,
                 name_mismatch: bool_field(trace, "name_mismatch")?,
-                // Reports written before the portfolio carry no field;
-                // nothing escalated then.
-                escalated: matches!(trace.get("escalated"), Some(Value::Bool(true))),
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
@@ -1089,7 +1080,6 @@ fn parse_job_report(item: &Value) -> Result<(usize, JobReport), String> {
             blast_hits: parse_hex(obj.get("blast_hits"), "blast_hits")?,
             blast_misses: parse_hex(obj.get("blast_misses"), "blast_misses")?,
             assumption_reuses: parse_hex(obj.get("assumption_reuses"), "assumption_reuses")?,
-            escalations: parse_hex(obj.get("escalations"), "escalations")?,
         },
     };
     // Likewise, reports written before the simplification subsystem carry
@@ -1312,7 +1302,6 @@ mod tests {
                         conflicts: 0,
                         clauses: 0,
                         name_mismatch: true,
-                        escalated: true,
                     }],
                     wall: Duration::from_micros(9999),
                     cache_hit: false,
@@ -1320,7 +1309,6 @@ mod tests {
                         blast_hits: 7,
                         blast_misses: 2,
                         assumption_reuses: 5,
-                        escalations: 1,
                     },
                     simplify: SimplifyCounters {
                         vars_eliminated: 210,
@@ -1346,12 +1334,10 @@ mod tests {
         assert_eq!(job.detail, "with \"quotes\"\nand newlines");
         assert_eq!(job.traces.len(), 1);
         assert!(job.traces[0].name_mismatch);
-        assert!(job.traces[0].escalated);
         assert_eq!(job.traces[0].wall, Duration::from_micros(1234));
         assert_eq!(job.reuse.blast_hits, 7);
         assert_eq!(job.reuse.blast_misses, 2);
         assert_eq!(job.reuse.assumption_reuses, 5);
-        assert_eq!(job.reuse.escalations, 1);
         assert_eq!(job.simplify.vars_eliminated, 210);
         assert_eq!(job.simplify.clauses_subsumed, 33);
         assert_eq!(job.simplify.clauses_strengthened, 12);

@@ -70,9 +70,9 @@ impl SolverBudget {
         }
     }
 
-    /// The componentwise minimum of two budgets — used by adaptive tuning,
-    /// which only ever *tightens* a configured budget so that a tuned run can
-    /// never spend more than the base configuration allowed.
+    /// The componentwise minimum of two budgets — used by profile-derived
+    /// budget tuning, which only ever *tightens* a configured budget so that
+    /// a tuned run can never spend more than the base configuration allowed.
     pub fn min_with(self, other: SolverBudget) -> SolverBudget {
         SolverBudget {
             max_conflicts: self.max_conflicts.min(other.max_conflicts),

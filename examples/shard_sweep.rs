@@ -19,16 +19,15 @@
 //!   and the merged outputs are *still* byte-identical to the
 //!   single-process run;
 //! * the single-process run's telemetry, persisted as a `CrossRunProfile`
-//!   journal, derives a **non-default** per-category stage schedule with no
-//!   pilot slice, and a profile-guided 2-shard sweep under that schedule
+//!   journal, derives a **non-default** per-category stage schedule from the
+//!   journal alone, and a profile-guided 2-shard sweep under that schedule
 //!   produces verdicts identical to the default-schedule single-process run
 //!   (the concluding *stages* legitimately differ — that is the point);
 //! * a worker killed between batched flushes (`--flush-every 3`) loses at
 //!   most 2 buffered tail records, and recovery still merges the cache file
 //!   byte-identical to the single-process run;
 //! * a **solver-reuse** 2-shard sweep (blast memo + incremental per-scalar
-//!   sessions + portfolio racing, carried to the workers through the
-//!   manifest) produces verdicts identical to the reuse-off single-process
+//!   sessions, carried to the workers through the manifest) produces verdicts identical to the reuse-off single-process
 //!   run, with the merged report's reuse counters proving the warm sessions
 //!   actually ran.
 //!
@@ -303,7 +302,7 @@ fn main() {
     println!("== cross-run profile: record -> derive -> profile-guided 2-shard sweep ==");
     // The single-process run's telemetry becomes the persisted profile; a
     // "second run" then derives its schedule from the journal alone — no
-    // pilot slice, no fresh measurements.
+    // fresh measurements.
     let profile_path = dir.join("profile.json");
     CrossRunProfile::from_batch(&jobs, &single.jobs)
         .append_to(&profile_path, FsyncPolicy::OnCompact)
@@ -460,8 +459,8 @@ fn main() {
     // revisited somewhere in the suite.
     let totals = reused.report.reuse_totals();
     println!(
-        "reuse counters: {} blast hits / {} misses, {} assumption reuses, {} escalations",
-        totals.blast_hits, totals.blast_misses, totals.assumption_reuses, totals.escalations
+        "reuse counters: {} blast hits / {} misses, {} assumption reuses",
+        totals.blast_hits, totals.blast_misses, totals.assumption_reuses
     );
     assert!(
         totals.assumption_reuses > 0,

@@ -65,14 +65,13 @@
 //! from what previous runs recorded there. `--schedule` also accepts an
 //! explicit spec (`reduction=cunroll,alive2,splitting;...`) or `default`.
 //! `--budget profile` additionally derives tightened per-stage solver
-//! budgets from the same profile journal
-//! (`AdaptiveBudgetPolicy::derive_from_profile`) — no pilot slice needed;
-//! `fixed` (the default) keeps the configured budgets.
+//! budgets from the same profile journal (`CrossRunProfile::tuned_budgets`);
+//! `fixed` (the default) keeps the configured budgets. Either way each
+//! symbolic stage runs once, under its one budget.
 //!
-//! `--reuse` turns on every solver-reuse layer (blasted-CNF memoization,
-//! incremental per-scalar sessions with scalar-affinity scheduling, and
-//! portfolio budget racing) in all shard workers. Verdicts are identical to
-//! a reuse-off sweep; the incremental layer perturbs the configuration
+//! `--reuse` turns on both solver-reuse layers (blasted-CNF memoization and
+//! incremental per-scalar sessions with scalar-affinity scheduling) in all
+//! shard workers. Verdicts are identical to a reuse-off sweep; the incremental layer perturbs the configuration
 //! fingerprint, so reuse-on and reuse-off sweeps keep separate cache
 //! entries. By default the blast-memo layer *alone* is on — its replays
 //! are clause-identical, so it changes no verdict, fingerprint, or cache
@@ -131,9 +130,9 @@ use llm_vectorizer_repro::agents::LlmConfig;
 use llm_vectorizer_repro::cir::ast::Function;
 use llm_vectorizer_repro::core::shard::{run_worker_from_args, ShardError, ShardReportFile};
 use llm_vectorizer_repro::core::{
-    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, AdaptiveBudgetPolicy,
-    BatchReport, CacheBounds, CacheFormat, CrossRunProfile, EngineConfig, EngineReuse, Equivalence,
-    FlushMode, FsyncPolicy, GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient,
+    cache_file_stats, generate_then_verify_pass_at_k, overlapped_pass_at_k, BatchReport,
+    CacheBounds, CacheFormat, CrossRunProfile, EngineConfig, EngineReuse, Equivalence, FlushMode,
+    FsyncPolicy, GenerationRequest, GenerationSpec, Job, PipelineConfig, ServiceClient,
     ShardPolicy, StageSchedule, SweepConfig, VerdictCache, VerificationEngine, VerificationService,
     WorkerSpec,
 };
@@ -187,7 +186,7 @@ const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:7411";
 /// `--no-reuse` pair plus `--simplify`. With neither reuse flag given, the
 /// blast-memo layer alone is on: its replays are clause-identical, so it
 /// changes no verdict, no fingerprint, and no cache entry — a free default.
-/// `--reuse` turns on every layer, `--no-reuse` turns them all off.
+/// `--reuse` turns on memo + incremental, `--no-reuse` turns them all off.
 fn resolve_reuse(reuse: Option<bool>, simplify: bool) -> EngineReuse {
     let mut resolved = match reuse {
         Some(true) => EngineReuse::full(),
@@ -1065,8 +1064,7 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
                     pipeline
                 }
                 Ok(loaded) => {
-                    let tuned =
-                        AdaptiveBudgetPolicy::default().derive_from_profile(&loaded, &pipeline.tv);
+                    let tuned = loaded.tuned_budgets(&pipeline.tv);
                     println!(
                         "budgets derived from {}: alive2 {} conflicts, cunroll {}, spatial {}",
                         path.display(),
@@ -1209,8 +1207,8 @@ fn cmd_coordinator(args: &[String]) -> Result<(), CliError> {
     let totals = swept.report.reuse_totals();
     if !totals.is_zero() {
         println!(
-            "reuse: {} blast-cache hits / {} misses, {} assumption reuses, {} portfolio escalations",
-            totals.blast_hits, totals.blast_misses, totals.assumption_reuses, totals.escalations
+            "reuse: {} blast-cache hits / {} misses, {} assumption reuses",
+            totals.blast_hits, totals.blast_misses, totals.assumption_reuses
         );
     }
     print_simplify_totals(&swept.report);
@@ -1401,7 +1399,7 @@ mod tests {
         // No flag: blast memo alone — clause-identical, fingerprint-neutral.
         let default = resolve_reuse(None, false);
         assert!(default.memo);
-        assert!(!default.incremental && !default.portfolio);
+        assert!(!default.incremental);
         assert!(!default.simplify.any());
         assert_eq!(reuse_tag(default), "memo");
 

@@ -9,13 +9,13 @@
 //! tests pin the cross-run loop: a persisted `CrossRunProfile` reloads to an
 //! identical derived schedule and identical derived budgets, and a slice
 //! whose conditional kernels waste their Alive2 budget derives a non-default
-//! schedule with *no pilot slice* that still yields the same verdicts.
+//! schedule from the profile alone that still yields the same verdicts.
 
 use llm_vectorizer_repro::agents::vectorize_correct;
 use llm_vectorizer_repro::analysis::{categorize, KernelCategory};
 use llm_vectorizer_repro::core::{
-    AdaptiveBudgetPolicy, BatchReport, CrossRunProfile, EngineConfig, Equivalence, FsyncPolicy,
-    Job, PipelineConfig, Stage, StageSchedule, VerificationEngine, SYMBOLIC_STAGES,
+    BatchReport, CrossRunProfile, EngineConfig, Equivalence, FsyncPolicy, Job, PipelineConfig,
+    Stage, StageSchedule, VerificationEngine, SYMBOLIC_STAGES,
 };
 use llm_vectorizer_repro::interp::ChecksumConfig;
 use llm_vectorizer_repro::tv::{SolverBudget, TvConfig};
@@ -192,10 +192,9 @@ fn profile_round_trip_derives_identical_schedule_and_budgets() {
         StageSchedule::from_profile(&profile)
     );
     // …and identical derived budgets.
-    let policy = AdaptiveBudgetPolicy::default();
     let base = pipeline().tv;
-    let from_memory = policy.derive_from_profile(&profile, &base);
-    let from_disk = policy.derive_from_profile(&reloaded, &base);
+    let from_memory = profile.tuned_budgets(&base);
+    let from_disk = reloaded.tuned_budgets(&base);
     assert_eq!(from_memory.alive2_budget, from_disk.alive2_budget);
     assert_eq!(from_memory.cunroll_budget, from_disk.cunroll_budget);
     assert_eq!(from_memory.spatial_budget, from_disk.spatial_budget);
@@ -209,7 +208,7 @@ fn warm_profile_derives_a_non_default_schedule_with_identical_verdicts() {
         VerificationEngine::new(EngineConfig::full(pipeline()).with_threads(1)).run_batch(&jobs);
 
     // First run recorded; second run derives its schedule from the profile
-    // alone — no pilot slice, no fresh telemetry.
+    // alone — no fresh telemetry.
     let profile = CrossRunProfile::from_batch(&jobs, &default_run.jobs);
     let derived = StageSchedule::from_profile(&profile);
     assert!(
